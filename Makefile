@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMigrate -fuzztime=$(FUZZTIME) ./internal/embedding
 	$(GO) test -run='^$$' -fuzz=FuzzAnfaOptimize -fuzztime=$(FUZZTIME) ./internal/anfa
+	$(GO) test -run='^$$' -fuzz=FuzzFind -fuzztime=$(FUZZTIME) ./internal/search
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dtd"
 	"repro/internal/embedding"
 	"repro/internal/experiments"
 	"repro/internal/match"
@@ -470,21 +471,46 @@ func BenchmarkAnfaEvalCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkFindRandom measures the Random heuristic on the Figure 1
-// pair with the unrestricted matrix.
-func BenchmarkFindRandom(b *testing.B) {
-	src, tgt := workload.ClassDTD(), workload.SchoolDTD()
+// findSeeds is the fixed seed list every seeded search benchmark runs
+// per op, so ns/op is the cost of the same searches whatever b.N is.
+var findSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+
+// benchFind times one op as one search per seed of findSeeds; each must
+// find an embedding.
+func benchFind(b *testing.B, src, tgt *dtd.DTD, att *embedding.SimMatrix, opts search.Options) {
+	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := search.Find(src, tgt, nil, search.Options{Heuristic: search.Random, Seed: int64(i), MaxRestarts: 60})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found")
+		for _, seed := range findSeeds {
+			opts.Seed = seed
+			res, err := search.Find(src, tgt, att, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Embedding == nil {
+				b.Fatalf("no embedding found (seed %d)", seed)
+			}
 		}
 	}
+}
+
+// syntheticPair builds the E3 search input of one size: a synthetic
+// schema, a 20%-noise copy and an att of accuracy 1 / ambiguity 2.
+func syntheticPair(size int) (*dtd.DTD, *dtd.DTD, *embedding.SimMatrix) {
+	r := rand.New(rand.NewSource(int64(size)))
+	base := workload.MustSyntheticDTD(r, size)
+	nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
+	att := match.Synthetic(base, nc.DTD, nc.Truth,
+		match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
+	return base, nc.DTD, att
+}
+
+// BenchmarkFindRandom measures the Random heuristic on the Figure 1
+// pair with the unrestricted matrix.
+func BenchmarkFindRandom(b *testing.B) {
+	benchFind(b, workload.ClassDTD(), workload.SchoolDTD(), nil,
+		search.Options{Heuristic: search.Random, MaxRestarts: 60})
 }
 
 // BenchmarkFindUnambiguous measures the PTIME case of §5.2: pinned att
@@ -513,20 +539,8 @@ func BenchmarkFindUnambiguous(b *testing.B) {
 // BenchmarkFindParallel measures the Random heuristic with 4 restart
 // workers on the Figure 1 pair (compare BenchmarkFindRandom).
 func BenchmarkFindParallel(b *testing.B) {
-	src, tgt := workload.ClassDTD(), workload.SchoolDTD()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := search.Find(src, tgt, nil, search.Options{
-			Heuristic: search.Random, Seed: int64(i), MaxRestarts: 60, Parallel: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found")
-		}
-	}
+	benchFind(b, workload.ClassDTD(), workload.SchoolDTD(), nil,
+		search.Options{Heuristic: search.Random, MaxRestarts: 60, Parallel: 4})
 }
 
 // BenchmarkFindSize measures the Random heuristic along the E3 size
@@ -537,23 +551,8 @@ func BenchmarkFindParallel(b *testing.B) {
 func BenchmarkFindSize(b *testing.B) {
 	for _, size := range []int{40, 80, 160} {
 		b.Run(fmt.Sprintf("%d", size), func(b *testing.B) {
-			r := rand.New(rand.NewSource(int64(size)))
-			base := workload.MustSyntheticDTD(r, size)
-			nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
-			att := match.Synthetic(base, nc.DTD, nc.Truth,
-				match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := search.Find(base, nc.DTD, att,
-					search.Options{Heuristic: search.Random, Seed: int64(i), MaxRestarts: 15})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Embedding == nil {
-					b.Fatal("no embedding found on the synthetic pair")
-				}
-			}
+			src, tgt, att := syntheticPair(size)
+			benchFind(b, src, tgt, att, search.Options{Heuristic: search.Random, MaxRestarts: 15})
 		})
 	}
 }
@@ -563,24 +562,8 @@ func BenchmarkFindSize(b *testing.B) {
 // telemetry overhead on the search hot path (budget <2%, tracked in
 // BENCH_PR5.json).
 func BenchmarkFindSizeNop(b *testing.B) {
-	const size = 80
-	r := rand.New(rand.NewSource(int64(size)))
-	base := workload.MustSyntheticDTD(r, size)
-	nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
-	att := match.Synthetic(base, nc.DTD, nc.Truth,
-		match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := search.Find(base, nc.DTD, att,
-			search.Options{Heuristic: search.Random, Seed: int64(i), MaxRestarts: 15, Obs: obs.Nop()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found on the synthetic pair")
-		}
-	}
+	src, tgt, att := syntheticPair(80)
+	benchFind(b, src, tgt, att, search.Options{Heuristic: search.Random, MaxRestarts: 15, Obs: obs.Nop()})
 }
 
 // BenchmarkFindSizeLedger is BenchmarkFindSize/80 with the
@@ -589,24 +572,8 @@ func BenchmarkFindSizeNop(b *testing.B) {
 // ledger-off run must stay within noise of PR 9 (tracked in
 // BENCH_PR10.json).
 func BenchmarkFindSizeLedger(b *testing.B) {
-	const size = 80
-	r := rand.New(rand.NewSource(int64(size)))
-	base := workload.MustSyntheticDTD(r, size)
-	nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
-	att := match.Synthetic(base, nc.DTD, nc.Truth,
-		match.SyntheticOptions{Accuracy: 1, Ambiguity: 2}, r)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := search.Find(base, nc.DTD, att,
-			search.Options{Heuristic: search.Random, Seed: int64(i), MaxRestarts: 15, Explain: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Embedding == nil {
-			b.Fatal("no embedding found on the synthetic pair")
-		}
-	}
+	src, tgt, att := syntheticPair(80)
+	benchFind(b, src, tgt, att, search.Options{Heuristic: search.Random, MaxRestarts: 15, Explain: true})
 }
 
 // BenchmarkCompose measures schema-level composition of the Figure 1

@@ -220,17 +220,17 @@ func (r *Report) Table() string {
 // shoot-out needs (ROADMAP item 4).
 func (r *Report) RejectionTable() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-14s %-6s %12s %10s %11s %12s %9s %6s\n",
-		"pair", "heuristic", "found", "lambda_empty", "path_empty", "prefix_free", "local_select", "conflict", "total")
+	fmt.Fprintf(&b, "%-8s %-14s %-6s %12s %11s %10s %11s %12s %9s %6s\n",
+		"pair", "heuristic", "found", "lambda_empty", "unreachable", "path_empty", "prefix_free", "local_select", "conflict", "total")
 	for _, p := range r.Pairs {
 		for _, row := range p.Rows {
 			rej := row.Rejections
 			if rej == nil {
 				rej = &search.Rejections{}
 			}
-			fmt.Fprintf(&b, "%-8s %-14s %-6v %12d %10d %11d %12d %9d %6d\n",
+			fmt.Fprintf(&b, "%-8s %-14s %-6v %12d %11d %10d %11d %12d %9d %6d\n",
 				row.Pair, row.Heuristic, row.Found,
-				rej.LambdaEmpty, rej.PathEmpty, rej.PrefixFree, rej.LocalSelect, rej.Conflict, rej.Total())
+				rej.LambdaEmpty, rej.Unreachable, rej.PathEmpty, rej.PrefixFree, rej.LocalSelect, rej.Conflict, rej.Total())
 		}
 	}
 	return b.String()

@@ -23,6 +23,7 @@ var Dirs = map[string]string{
 
 	"FuzzStreamMigrate": "internal/embedding/testdata/fuzz/FuzzStreamMigrate",
 	"FuzzAnfaOptimize":  "internal/anfa/testdata/fuzz/FuzzAnfaOptimize",
+	"FuzzFind":          "internal/search/testdata/fuzz/FuzzFind",
 }
 
 // Encode renders one string input in the go-fuzz v1 corpus file format.

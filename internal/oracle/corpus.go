@@ -10,7 +10,8 @@ import (
 // EmitCorpus generates cfg.Trials scenarios and seeds the parser fuzz
 // corpora under root (the repository root) with the interesting inputs
 // they produce: schema texts for FuzzDTDParse, query texts for
-// FuzzXPathParse, and document XML for FuzzXMLDecode. perTarget bounds
+// FuzzXPathParse, document XML for FuzzXMLDecode, and schema pairs
+// (source and target text joined by a NUL byte) for FuzzFind. perTarget bounds
 // the new inputs per fuzz target; entries already present in a corpus
 // directory are not duplicated (see fuzzseed.Write). It returns the
 // number of corpus files written.
@@ -39,6 +40,7 @@ func EmitCorpus(root string, cfg Config, perTarget int) (int, error) {
 		add("FuzzDTDParse", tr.Target.String())
 		add("FuzzXMLDecode", tr.Doc.String())
 		add("FuzzStreamMigrate", tr.Doc.String())
+		add("FuzzFind", tr.Source.String()+"\x00"+tr.Target.String())
 		for _, q := range tr.Queries {
 			add("FuzzXPathParse", xpath.String(q))
 			add("FuzzAnfaOptimize", xpath.String(q)+"\n"+tr.Doc.String())

@@ -105,20 +105,14 @@ func (s *searcher) assembleIndepSet() *embedding.Embedding {
 	return emb
 }
 
-// localOptions samples local mappings for the production of a.
+// localOptions samples local mappings for the production of a. A
+// child candidate the closure rules out from λ(a) is skipped before
+// any path work.
 func (s *searcher) localOptions(a string) []*localOption {
 	prod := s.src.Prods[a]
-	var ownCands []string
-	if a == s.src.Root {
-		ownCands = []string{s.tgt.Root}
-	} else {
-		ownCands = s.candidatesFor(a, true)
-		if s.rec != nil && len(ownCands) == 0 {
-			s.rec.rej.LambdaEmpty++
-		}
-	}
+	fl := prodFlavor(prod.Kind)
 	var out []*localOption
-	for _, la := range ownCands {
+	for _, la := range s.candidatesFor(a, true) {
 		if len(out) >= s.opts.LocalOptions {
 			break
 		}
@@ -156,11 +150,11 @@ func (s *searcher) localOptions(a string) []*localOption {
 				out = append(out, opt)
 				return
 			}
-			cands := s.candidatesFor(kids[j], true)
-			if s.rec != nil && len(cands) == 0 {
-				s.rec.rej.LambdaEmpty++
-			}
-			for _, b := range cands {
+			for _, b := range s.candidatesFor(kids[j], true) {
+				if !s.reach.ok(la, b, fl) {
+					s.noteUnreachable()
+					continue
+				}
 				lam[kids[j]] = b
 				rec(j + 1)
 				delete(lam, kids[j])
@@ -169,22 +163,7 @@ func (s *searcher) localOptions(a string) []*localOption {
 				}
 			}
 		}
-		// Recursive types may list themselves as children; the owner's
-		// own λ is fixed above.
-		if prodHasSelf(prod.Children, a) {
-			// lam already contains a's λ.
-			_ = la
-		}
 		rec(0)
 	}
 	return out
-}
-
-func prodHasSelf(children []string, a string) bool {
-	for _, c := range children {
-		if c == a {
-			return true
-		}
-	}
-	return false
 }

@@ -14,9 +14,15 @@ import (
 // diagnostic instrument):
 //
 //   - LambdaEmpty: a source type had no admissible λ candidates at all
-//     (the similarity matrix offers nothing for it);
+//     (the similarity matrix offers nothing for it), counted once per
+//     search;
+//   - Unreachable: λ candidates the target's reachability closure rules
+//     out — those the arc-consistency filter removes (once per search)
+//     plus the branches the forward check skips because no path of the
+//     production's flavor leads from the parent's λ (per restart);
 //   - PathEmpty: a production edge had no candidate target paths under
-//     a chosen λ (the path type condition ruled every path out);
+//     a chosen λ although the closure admits one (the enumeration bounds
+//     ruled every path out);
 //   - PrefixFree: candidate path pairs rejected by the prefix-freeness
 //     (or OR-divergence) check;
 //   - LocalSelect: productions whose candidates admitted no mutually
@@ -25,6 +31,7 @@ import (
 //     disagreed with the partial assignment.
 type Rejections struct {
 	LambdaEmpty int `json:"lambda_empty"`
+	Unreachable int `json:"unreachable"`
 	PathEmpty   int `json:"path_empty"`
 	PrefixFree  int `json:"prefix_free"`
 	LocalSelect int `json:"local_select"`
@@ -33,12 +40,13 @@ type Rejections struct {
 
 // Total sums all rejection classes.
 func (r Rejections) Total() int {
-	return r.LambdaEmpty + r.PathEmpty + r.PrefixFree + r.LocalSelect + r.Conflict
+	return r.LambdaEmpty + r.Unreachable + r.PathEmpty + r.PrefixFree + r.LocalSelect + r.Conflict
 }
 
 // add accumulates o into r.
 func (r *Rejections) add(o Rejections) {
 	r.LambdaEmpty += o.LambdaEmpty
+	r.Unreachable += o.Unreachable
 	r.PathEmpty += o.PathEmpty
 	r.PrefixFree += o.PrefixFree
 	r.LocalSelect += o.LocalSelect
@@ -59,6 +67,7 @@ func (r Rejections) String() string {
 		s += fmt.Sprintf("%s=%d", k, v)
 	}
 	app("lambda_empty", r.LambdaEmpty)
+	app("unreachable", r.Unreachable)
 	app("path_empty", r.PathEmpty)
 	app("prefix_free", r.PrefixFree)
 	app("local_select", r.LocalSelect)
@@ -112,7 +121,8 @@ type RestartRecord struct {
 	FrontierPeak int `json:"frontier_peak"`
 	// Rejections breaks down why candidates died during this restart.
 	// PrefixFree counts accrue to the restart that first computed a
-	// local selection; memoized replays do not re-count them.
+	// local selection; memoized replays do not re-count them. Restart 0
+	// also carries the once-per-search counts of the candidate filter.
 	Rejections Rejections `json:"rejections"`
 	// Outcome is one of the Outcome* constants.
 	Outcome string `json:"outcome"`
@@ -160,6 +170,13 @@ func (r *attemptRec) fail(class uint8) {
 	r.countFail(class)
 }
 
+// noteUnreachable counts a λ branch the forward check skipped.
+func (s *searcher) noteUnreachable() {
+	if s.rec != nil {
+		s.rec.rej.Unreachable++
+	}
+}
+
 // noteDepth tracks the peak λ-assignment count.
 func (r *attemptRec) noteDepth(n int) {
 	if n > r.depth {
@@ -198,6 +215,9 @@ func (s *searcher) makeRecord(restart, worker int, emb bool, exhausted bool, ela
 		ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
 	}
 	rec.Rejections.PrefixFree = s.enum.rejects - s.rejectsMark
+	if restart == 0 {
+		rec.Rejections.add(s.pruned)
+	}
 	s.rejectsMark = s.enum.rejects
 	switch {
 	case emb:
@@ -236,6 +256,7 @@ func (s *searcher) emitRestart(rec RestartRecord) {
 		Int("placement_depth", int64(rec.PlacementDepth)).
 		Int("frontier_peak", int64(rec.FrontierPeak)).
 		Int("rej_lambda_empty", int64(rec.Rejections.LambdaEmpty)).
+		Int("rej_unreachable", int64(rec.Rejections.Unreachable)).
 		Int("rej_path_empty", int64(rec.Rejections.PathEmpty)).
 		Int("rej_prefix_free", int64(rec.Rejections.PrefixFree)).
 		Int("rej_local_select", int64(rec.Rejections.LocalSelect)).

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/embedding"
 	"repro/internal/obs"
 )
 
 // failingPair builds a pair with no embedding: the target root is
-// empty, so every source edge's path enumeration comes up dry.
+// empty, so the reachability closure rules out every λ candidate before
+// the search places any.
 func failingPair() (*dtd.DTD, *dtd.DTD) {
 	src := dtd.MustNew("A",
 		dtd.D("A", dtd.Concat("B", "C")),
@@ -62,12 +64,47 @@ func TestLedgerRecordsFailure(t *testing.T) {
 		if r.Outcome != OutcomeExhausted {
 			t.Errorf("restart %d outcome = %q, want %q", r.Restart, r.Outcome, OutcomeExhausted)
 		}
-		if r.PlacementDepth < 1 {
-			t.Errorf("restart %d placement depth = %d", r.Restart, r.PlacementDepth)
+		if r.PlacementDepth != 0 {
+			t.Errorf("restart %d placement depth = %d, want 0 (no λ survives the filter)", r.Restart, r.PlacementDepth)
 		}
 	}
-	if res.Rejections.PathEmpty == 0 {
-		t.Errorf("expected path_empty rejections against an empty target, got %+v", res.Rejections)
+	if res.Rejections.Unreachable == 0 {
+		t.Errorf("expected unreachable rejections against an empty target, got %+v", res.Rejections)
+	}
+}
+
+// TestLedgerRecordsPathEmpty: when the closure admits a path but
+// MaxPathLen rules it out, the rejection is path_empty, not
+// unreachable.
+func TestLedgerRecordsPathEmpty(t *testing.T) {
+	src := dtd.MustNew("A",
+		dtd.D("A", dtd.Concat("B")),
+		dtd.D("B", dtd.Empty()))
+	tgt := dtd.MustNew("R",
+		dtd.D("R", dtd.Concat("X")),
+		dtd.D("X", dtd.Concat("Y")),
+		dtd.D("Y", dtd.Concat("Z")),
+		dtd.D("Z", dtd.Empty()))
+	att := embedding.NewSimMatrix()
+	att.Set("A", "R", 1)
+	att.Set("B", "Z", 1)
+	res, err := Find(src, tgt, att, Options{Seed: 1, MaxRestarts: 2, MaxPathLen: 2, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embedding != nil {
+		t.Fatal("embedding found through a path longer than MaxPathLen")
+	}
+	if res.Rejections.PathEmpty == 0 || res.Rejections.Unreachable != 0 {
+		t.Errorf("rejections = %+v, want path_empty and no unreachable", res.Rejections)
+	}
+	// At the default bound the three-step path R/X/Y/Z is found.
+	res, err = Find(src, tgt, att, Options{Seed: 1, MaxRestarts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embedding == nil {
+		t.Fatal("no embedding at the default path-length bound")
 	}
 }
 
@@ -182,7 +219,7 @@ func TestWriteLedger(t *testing.T) {
 	var b strings.Builder
 	WriteLedger(&b, res)
 	out := b.String()
-	for _, want := range []string{"RESTART", "OUTCOME", "exhausted", "totals:", "path_empty="} {
+	for _, want := range []string{"RESTART", "OUTCOME", "exhausted", "totals:", "unreachable="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ledger table missing %q:\n%s", want, out)
 		}

@@ -97,11 +97,40 @@ func localPaths(e *enumerator, src *dtd.DTD, a string, lam map[string]string, re
 }
 
 // bitset is a fixed-size bit vector used for the pairwise candidate
-// compatibility tables.
+// compatibility tables and the reachability closure.
 type bitset []uint64
 
 func (b bitset) set(i int)       { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// or sets every bit of o (of the same length) in b.
+func (b bitset) or(o bitset) {
+	for i := range b {
+		b[i] |= o[i]
+	}
+}
+
+// orChanged is or, reporting whether b gained a bit.
+func (b bitset) orChanged(o bitset) bool {
+	changed := false
+	for i := range b {
+		if o[i]&^b[i] != 0 {
+			b[i] |= o[i]
+			changed = true
+		}
+	}
+	return changed
+}
+
+// intersects reports whether b and o (of the same length) share a bit.
+func (b bitset) intersects(o bitset) bool {
+	for i := range b {
+		if b[i]&o[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // pairCompat precomputes, for every edge pair j < i, a bitset whose bit
 // cj*len(cands_i)+ci records whether candidate cj of edge j and

@@ -279,15 +279,15 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	parallel := opts.Parallel > 1 &&
 		(opts.Heuristic == Random || opts.Heuristic == QualityOrdered)
 	s := &searcher{
-		ctx:   ctx,
-		src:   src,
-		tgt:   tgt,
-		att:   att,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		cache: newSearchCache(parallel),
-		cands: candidateTable(src, tgt, att),
-		local: make(map[string]localResult),
+		ctx:         ctx,
+		src:         src,
+		tgt:         tgt,
+		att:         att,
+		opts:        opts,
+		rng:         rand.New(rand.NewSource(opts.Seed)),
+		cache:       newSearchCache(parallel),
+		lambdaSpace: newLambdaSpace(src, tgt, att),
+		local:       make(map[string]localResult),
 	}
 	s.enum = newEnumerator(tgt, maxLen, opts.MaxCandidates, opts.MaxExpansions, opts.MaxPin, s.cache)
 	s.enum.stop = s.canceled
@@ -356,10 +356,11 @@ type searcher struct {
 	steps    int
 
 	// cache is the search-scoped memo shared across restarts and
-	// workers; cands is the per-source-type λ-candidate table,
-	// precomputed once per FindCtx and treated as read-only.
+	// workers; lambdaSpace is the arc-consistent λ-candidate table and
+	// the target closure behind the forward check, built once per
+	// FindCtx and treated as read-only.
 	cache *searchCache
-	cands map[string][]string
+	*lambdaSpace
 	// local memoizes localPaths across this searcher's restarts, keyed
 	// by (a, λ(a), λ(children)). It is per-goroutine by design: keyBuf
 	// is reused so lookups are allocation-free, and a plain map avoids
@@ -587,21 +588,21 @@ func (s *searcher) runParallel() *Result {
 				}
 				seed := s.opts.Seed + int64(r)*2654435761
 				local := &searcher{
-					ctx:       s.ctx,
-					src:       s.src,
-					tgt:       s.tgt,
-					att:       s.att,
-					opts:      s.opts,
-					rng:       rand.New(rand.NewSource(seed)),
-					cache:     s.cache,
-					cands:     s.cands,
-					local:     memo,
-					keyBuf:    keyBuf,
-					tr:        s.tr,
-					span:      lane,
-					rec:       rec,
-					localFail: localFail,
-					seed:      seed,
+					ctx:         s.ctx,
+					src:         s.src,
+					tgt:         s.tgt,
+					att:         s.att,
+					opts:        s.opts,
+					rng:         rand.New(rand.NewSource(seed)),
+					cache:       s.cache,
+					lambdaSpace: s.lambdaSpace,
+					local:       memo,
+					keyBuf:      keyBuf,
+					tr:          s.tr,
+					span:        lane,
+					rec:         rec,
+					localFail:   localFail,
+					seed:        seed,
 				}
 				local.enum = newEnumerator(s.tgt, s.enum.maxLen, s.enum.maxCands, s.enum.maxExpand, s.enum.maxPin, s.cache)
 				local.enum.stop = local.canceled
@@ -720,35 +721,10 @@ func (s *searcher) order() []string {
 	return out
 }
 
-// candidateTable precomputes the filtered, att-ordered λ-candidate list
-// per source type in one pass over the similarity matrix, so the
-// backtracking never rescans and re-sorts the matrix at search time.
-// The lists are shared read-only by all restarts and workers.
-func candidateTable(src, tgt *dtd.DTD, att *embedding.SimMatrix) map[string][]string {
-	table := att.AllCandidates()
-	for a, cands := range table {
-		// Keep only actual target types.
-		kept := cands[:0]
-		for _, c := range cands {
-			if _, ok := tgt.Prods[c]; ok {
-				kept = append(kept, c)
-			}
-		}
-		table[a] = kept
-	}
-	return table
-}
-
 // candidatesFor lists admissible λ targets for a source type, ordered
 // per the heuristic. Without shuffling the shared precomputed slice is
 // returned directly and must not be mutated; shuffling copies it first.
 func (s *searcher) candidatesFor(a string, shuffle bool) []string {
-	if a == s.src.Root {
-		if s.att.Get(a, s.tgt.Root) <= 0 {
-			return nil
-		}
-		return []string{s.tgt.Root}
-	}
 	cands := s.cands[a]
 	if shuffle && len(cands) > 1 {
 		cands = append([]string(nil), cands...)
@@ -814,10 +790,7 @@ func (s *searcher) localPathsFor(a string, lam map[string]string) localResult {
 // whether the space was exhausted (as opposed to hitting the step
 // budget).
 func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
-	if s.att.Get(s.src.Root, s.tgt.Root) <= 0 {
-		if s.rec != nil {
-			s.rec.rej.LambdaEmpty++
-		}
+	if s.dead {
 		return nil, true
 	}
 	if s.rec != nil {
@@ -833,11 +806,18 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 	var solveProd func(a string, k cont) (bool, bool)
 	solveProd = func(a string, k cont) (bool, bool) {
 		prod := s.src.Prods[a]
-		// Distinct children lacking a λ, in production order.
+		from, fl := lam[a], prodFlavor(prod.Kind)
+		// Distinct children lacking a λ, in production order; a child
+		// whose λ is already fixed must be reachable from λ(a).
 		var free []string
 		seen := map[string]bool{}
 		for _, c := range prod.Children {
-			if _, fixed := lam[c]; !fixed && !seen[c] {
+			if b, fixed := lam[c]; fixed {
+				if !s.reach.ok(from, b, fl) {
+					s.noteUnreachable()
+					return false, true
+				}
+			} else if !seen[c] {
 				seen[c] = true
 				free = append(free, c)
 			}
@@ -897,11 +877,11 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 			}
 			c := free[j]
 			exh := true
-			cands := s.candidatesFor(c, shuffle)
-			if s.rec != nil && len(cands) == 0 {
-				s.rec.rej.LambdaEmpty++
-			}
-			for _, b := range cands {
+			for _, b := range s.candidatesFor(c, shuffle) {
+				if !s.reach.ok(from, b, fl) {
+					s.noteUnreachable()
+					continue
+				}
 				lam[c] = b
 				if s.rec != nil {
 					s.rec.noteDepth(len(lam))
@@ -930,11 +910,7 @@ func (s *searcher) attempt(shuffle bool) (*embedding.Embedding, bool) {
 			}
 			if _, fixed := lam[a]; !fixed {
 				exh := true
-				cands := s.candidatesFor(a, shuffle)
-				if s.rec != nil && len(cands) == 0 {
-					s.rec.rej.LambdaEmpty++
-				}
-				for _, b := range cands {
+				for _, b := range s.candidatesFor(a, shuffle) {
 					lam[a] = b
 					solved[a] = true
 					done, e := solveProd(a, leftovers)
