@@ -31,11 +31,20 @@ type reach struct {
 	str  []bool
 }
 
-// newReach builds the closure of tgt. Each flavor's rows are the least
+// maxReachTypes bounds the targets a closure is built for: its rows
+// take 4·n² bits, 32 MiB at this size, and the build does not poll for
+// cancellation. Larger targets are searched without pruning.
+const maxReachTypes = 1 << 13
+
+// newReach builds the closure of tgt, or returns nil when tgt has more
+// than maxReachTypes types. Each flavor's rows are the least
 // fixpoint of a few set inclusions over the schema edges, iterated
 // children first so the acyclic parts of the graph settle in one pass.
 func newReach(tgt *dtd.DTD) *reach {
 	n := len(tgt.Types)
+	if n > maxReachTypes {
+		return nil
+	}
 	w := (n + 63) / 64
 	r := &reach{idx: make(map[string]int, n), words: w, str: make([]bool, n)}
 	for i, t := range tgt.Types {
@@ -134,8 +143,12 @@ func (r *reach) row(fl flavor, i int) bitset {
 
 // ok reports whether some path of flavor fl leads from target type from
 // to target type to (for flavorSTR, to is ignored: the path ends at any
-// str-typed element or is the bare text() of a str-typed from).
+// str-typed element or is the bare text() of a str-typed from). A nil
+// closure admits every path.
 func (r *reach) ok(from, to string, fl flavor) bool {
+	if r == nil {
+		return true // no closure: nothing is ruled out
+	}
 	i, found := r.idx[from]
 	if !found {
 		return false
@@ -166,7 +179,7 @@ func prodFlavor(k dtd.Kind) flavor {
 // closure. It is built once per FindCtx and shared read-only by every
 // restart and worker.
 type lambdaSpace struct {
-	reach *reach
+	reach *reach // nil for targets too large for a closure
 	cands map[string][]string
 	// dead reports that the filter emptied some domain, which proves no
 	// embedding exists.
@@ -179,8 +192,40 @@ type lambdaSpace struct {
 
 // newLambdaSpace builds the λ-candidate table — att-ordered target
 // types per source type, the root mapped to the target root alone — and
-// filters it to arc consistency: a candidate b of source type a
-// survives only if
+// filters it to arc consistency when the target is small enough for a
+// closure (see filter).
+func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
+	sp := &lambdaSpace{reach: newReach(tgt), cands: att.AllCandidates()}
+	sp.cands[src.Root] = nil
+	if att.Get(src.Root, tgt.Root) > 0 {
+		sp.cands[src.Root] = []string{tgt.Root}
+	}
+	for _, a := range src.Types {
+		// Keep only actual target types.
+		kept := sp.cands[a][:0]
+		for _, b := range sp.cands[a] {
+			if _, ok := tgt.Prods[b]; ok {
+				kept = append(kept, b)
+			}
+		}
+		sp.cands[a] = kept
+		if len(kept) == 0 {
+			sp.pruned.LambdaEmpty++
+		}
+	}
+	if sp.reach != nil {
+		sp.filter(src)
+	}
+	for _, a := range src.Types {
+		if len(sp.cands[a]) == 0 {
+			sp.dead = true
+		}
+	}
+	return sp
+}
+
+// filter removes the candidates that are not arc consistent, counting
+// them as Unreachable: a candidate b of source type a survives only if
 //
 //   - every edge a→c has a candidate of c reachable from b in a's
 //     flavor (b itself for a self edge),
@@ -190,15 +235,8 @@ type lambdaSpace struct {
 // Every λ assignment the search can complete uses surviving candidates
 // only, so the filter is sound: an emptied domain proves the pair is not
 // embeddable. The survivors keep their att order.
-func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
-	r := newReach(tgt)
-	sp := &lambdaSpace{reach: r, cands: att.AllCandidates()}
-	if att.Get(src.Root, tgt.Root) > 0 {
-		sp.cands[src.Root] = []string{tgt.Root}
-	} else {
-		sp.cands[src.Root] = nil
-	}
-
+func (sp *lambdaSpace) filter(src *dtd.DTD) {
+	r := sp.reach
 	// The source schema by index: each type's flavor, its distinct
 	// children other than itself, whether it is its own child, and its
 	// distinct parents other than itself.
@@ -233,12 +271,7 @@ func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
 	dom := func(a int) bitset { return doms[a*w : (a+1)*w] }
 	for i, a := range src.Types {
 		for _, b := range sp.cands[a] {
-			if j, ok := r.idx[b]; ok {
-				dom(i).set(j)
-			}
-		}
-		if len(sp.cands[a]) == 0 {
-			sp.pruned.LambdaEmpty++
+			dom(i).set(r.idx[b])
 		}
 	}
 	supported := func(a, b int) bool {
@@ -257,33 +290,55 @@ func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
 		}
 		return true
 	}
+	// revise drops a's unsupported candidates and reports whether any
+	// went.
 	image := make(bitset, w)
-	for changed := true; changed; {
-		changed = false
-		for a := range nodes {
-			d := dom(a)
-			for x := range d {
-				for bs := d[x]; bs != 0; bs &= bs - 1 {
-					if bit := bits.TrailingZeros64(bs); !supported(a, x*64+bit) {
-						d[x] &^= 1 << uint(bit)
-						changed = true
-					}
+	revise := func(a int) bool {
+		d := dom(a)
+		changed := false
+		for x := range d {
+			for bs := d[x]; bs != 0; bs &= bs - 1 {
+				if bit := bits.TrailingZeros64(bs); !supported(a, x*64+bit) {
+					d[x] &^= 1 << uint(bit)
+					changed = true
 				}
 			}
-			for _, p := range nodes[a].parents {
-				// image collects every type some candidate of p reaches.
-				clear(image)
-				dp := dom(p)
-				for x := range dp {
-					for bs := dp[x]; bs != 0; bs &= bs - 1 {
-						image.or(r.row(nodes[p].fl, x*64+bits.TrailingZeros64(bs)))
-					}
+		}
+		for _, p := range nodes[a].parents {
+			// image collects every type some candidate of p reaches.
+			clear(image)
+			dp := dom(p)
+			for x := range dp {
+				for bs := dp[x]; bs != 0; bs &= bs - 1 {
+					image.or(r.row(nodes[p].fl, x*64+bits.TrailingZeros64(bs)))
 				}
-				for x := range d {
-					if d[x]&^image[x] != 0 {
-						d[x] &= image[x]
-						changed = true
-					}
+			}
+			for x := range d {
+				if d[x]&^image[x] != 0 {
+					d[x] &= image[x]
+					changed = true
+				}
+			}
+		}
+		return changed
+	}
+	// A shrunk domain can take the support of its parents' and
+	// children's candidates with it, so they are revised again (AC-3).
+	queue := make([]int, m)
+	queued := make([]bool, m)
+	for i := range queue {
+		queue[i], queued[i] = i, true
+	}
+	for len(queue) > 0 {
+		a := queue[0]
+		queue, queued[a] = queue[1:], false
+		if !revise(a) {
+			continue
+		}
+		for _, ns := range [2][]int{nodes[a].kids, nodes[a].parents} {
+			for _, c := range ns {
+				if !queued[c] {
+					queue, queued[c] = append(queue, c), true
 				}
 			}
 		}
@@ -291,16 +346,12 @@ func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
 	for i, a := range src.Types {
 		kept := sp.cands[a][:0]
 		for _, b := range sp.cands[a] {
-			if j, ok := r.idx[b]; ok && dom(i).test(j) {
+			if dom(i).test(r.idx[b]) {
 				kept = append(kept, b)
-			} else if ok {
+			} else {
 				sp.pruned.Unreachable++
 			}
 		}
 		sp.cands[a] = kept
-		if len(kept) == 0 {
-			sp.dead = true
-		}
 	}
-	return sp
 }

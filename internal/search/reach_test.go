@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dtd"
+	"repro/internal/embedding"
 	"repro/internal/match"
 	"repro/internal/workload"
 )
@@ -100,8 +101,8 @@ func TestExactDeadDomainExhausted(t *testing.T) {
 	tgt := dtd.MustNew("R",
 		dtd.D("R", dtd.Concat("S")),
 		dtd.D("S", dtd.Empty()))
-	sp := newLambdaSpace(src, tgt, nil)
-	if !sp.dead {
+	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt))
+	if !sp.dead || sp.pruned.LambdaEmpty != 0 {
 		t.Fatalf("filter left a live space: %v", sp.cands)
 	}
 	res, err := Find(src, tgt, nil, Options{Heuristic: Exact, Explain: true})
@@ -148,6 +149,35 @@ func TestLambdaSpaceKeepsAttOrder(t *testing.T) {
 		if truth := nc.Truth[a]; !slices.Contains(sp.cands[a], truth) {
 			t.Errorf("%s: the ground-truth λ %s was pruned", a, truth)
 		}
+	}
+}
+
+// TestLambdaSpaceLargeTargetUnpruned: past maxReachTypes no closure is
+// built; the candidate table is left unfiltered, the forward check
+// admits everything, and the search still finds embeddings.
+func TestLambdaSpaceLargeTargetUnpruned(t *testing.T) {
+	src := dtd.MustNew("A",
+		dtd.D("A", dtd.Concat("B")),
+		dtd.D("B", dtd.Empty()))
+	defs := []dtd.Def{dtd.D("R", dtd.Concat("B")), dtd.D("B", dtd.Empty())}
+	for i := len(defs); i <= maxReachTypes; i++ {
+		defs = append(defs, dtd.D(fmt.Sprintf("f%d", i), dtd.Empty()))
+	}
+	tgt := dtd.MustNew("R", defs...)
+	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt))
+	if sp.reach != nil {
+		t.Fatalf("closure built for %d target types", tgt.Size())
+	}
+	if got := len(sp.cands["B"]); got != tgt.Size() || sp.dead || sp.pruned.Unreachable != 0 {
+		t.Fatalf("unpruned table: %d candidates for B (want %d), dead=%v, pruned=%+v",
+			got, tgt.Size(), sp.dead, sp.pruned)
+	}
+	if !sp.reach.ok("f3", "R", flavorOR) {
+		t.Error("a nil closure ruled out a path")
+	}
+	res, err := Find(src, tgt, nil, Options{Heuristic: QualityOrdered})
+	if err != nil || res.Embedding == nil {
+		t.Fatalf("no embedding without a closure: err=%v", err)
 	}
 }
 
