@@ -76,18 +76,25 @@ func TestLedgerRecordsFailure(t *testing.T) {
 // TestLedgerRecordsPathEmpty: when the closure admits a path but
 // MaxPathLen rules it out, the rejection is path_empty, not
 // unreachable.
-func TestLedgerRecordsPathEmpty(t *testing.T) {
-	src := dtd.MustNew("A",
+// longPathPair embeds only through the three-step path R/X/Y/Z, which
+// the reachability closure admits and MaxPathLen 2 rules out.
+func longPathPair() (src, tgt *dtd.DTD, att *embedding.SimMatrix) {
+	src = dtd.MustNew("A",
 		dtd.D("A", dtd.Concat("B")),
 		dtd.D("B", dtd.Empty()))
-	tgt := dtd.MustNew("R",
+	tgt = dtd.MustNew("R",
 		dtd.D("R", dtd.Concat("X")),
 		dtd.D("X", dtd.Concat("Y")),
 		dtd.D("Y", dtd.Concat("Z")),
 		dtd.D("Z", dtd.Empty()))
-	att := embedding.NewSimMatrix()
+	att = embedding.NewSimMatrix()
 	att.Set("A", "R", 1)
 	att.Set("B", "Z", 1)
+	return src, tgt, att
+}
+
+func TestLedgerRecordsPathEmpty(t *testing.T) {
+	src, tgt, att := longPathPair()
 	res, err := Find(src, tgt, att, Options{Seed: 1, MaxRestarts: 2, MaxPathLen: 2, Explain: true})
 	if err != nil {
 		t.Fatal(err)
@@ -160,15 +167,15 @@ func TestLedgerParallel(t *testing.T) {
 }
 
 func TestLedgerIndepSetOutcomes(t *testing.T) {
-	src, tgt := failingPair()
-	res, err := Find(src, tgt, nil, Options{
-		Seed: 1, MaxRestarts: 2, Explain: true, Heuristic: IndepSet,
+	src, tgt, att := longPathPair()
+	res, err := Find(src, tgt, att, Options{
+		Seed: 1, MaxRestarts: 2, MaxPathLen: 2, Explain: true, Heuristic: IndepSet,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ledger) == 0 {
-		t.Fatal("IndepSet produced no ledger records")
+	if len(res.Ledger) != 3 {
+		t.Fatalf("IndepSet produced %d ledger records, want one per restart", len(res.Ledger))
 	}
 	for _, r := range res.Ledger {
 		switch r.Outcome {
@@ -176,6 +183,29 @@ func TestLedgerIndepSetOutcomes(t *testing.T) {
 		default:
 			t.Errorf("unexpected IndepSet outcome %q", r.Outcome)
 		}
+	}
+}
+
+// TestIndepSetDeadDomainExhausted: when the filter empties a domain,
+// IndepSet stops at restart 0 and reports the pair exhausted, like the
+// backtracking heuristics.
+func TestIndepSetDeadDomainExhausted(t *testing.T) {
+	src, tgt := failingPair()
+	res, err := Find(src, tgt, nil, Options{
+		Seed: 1, MaxRestarts: 2, Explain: true, Heuristic: IndepSet,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Embedding != nil || !res.Exhausted || res.Restarts != 0 || res.Steps != 0 {
+		t.Fatalf("got embedding=%v exhausted=%v restarts=%d steps=%d, want an exhausted restart 0 with no steps",
+			res.Embedding != nil, res.Exhausted, res.Restarts, res.Steps)
+	}
+	if len(res.Ledger) != 1 || res.Ledger[0].Outcome != OutcomeExhausted {
+		t.Fatalf("ledger = %+v, want one exhausted restart", res.Ledger)
+	}
+	if res.Rejections.Unreachable == 0 {
+		t.Errorf("rejections = %+v, want unreachable", res.Rejections)
 	}
 }
 

@@ -110,18 +110,6 @@ func (b bitset) or(o bitset) {
 	}
 }
 
-// orChanged is or, reporting whether b gained a bit.
-func (b bitset) orChanged(o bitset) bool {
-	changed := false
-	for i := range b {
-		if o[i]&^b[i] != 0 {
-			b[i] |= o[i]
-			changed = true
-		}
-	}
-	return changed
-}
-
 // intersects reports whether b and o (of the same length) share a bit.
 func (b bitset) intersects(o bitset) bool {
 	for i := range b {

@@ -32,15 +32,18 @@ type reach struct {
 }
 
 // maxReachTypes bounds the targets a closure is built for: its rows
-// take 4·n² bits, 32 MiB at this size, and the build does not poll for
-// cancellation. Larger targets are searched without pruning.
+// take 4·n² bits, 32 MiB at this size. Larger targets are searched
+// without pruning.
 const maxReachTypes = 1 << 13
 
 // newReach builds the closure of tgt, or returns nil when tgt has more
-// than maxReachTypes types. Each flavor's rows are the least
-// fixpoint of a few set inclusions over the schema edges, iterated
-// children first so the acyclic parts of the graph settle in one pass.
-func newReach(tgt *dtd.DTD) *reach {
+// than maxReachTypes types or when stop (nil for never) reports true
+// during the build, which polls it once per type and flavor. Each
+// flavor's rows are the least fixpoint of a few set inclusions over the
+// schema edges, filled in one pass over the strongly connected
+// components, so the build costs O(E·n/64) word operations whatever the
+// shape of the target's cycles.
+func newReach(tgt *dtd.DTD, stop func() bool) *reach {
 	n := len(tgt.Types)
 	if n > maxReachTypes {
 		return nil
@@ -68,60 +71,104 @@ func newReach(tgt *dtd.DTD) *reach {
 			succ[i] = append(succ[i], arc{r.idx[c], kind})
 		}
 	}
-	// order lists the types in DFS postorder, children before parents
-	// except along back edges.
-	order := make([]int, 0, n)
-	visited := make([]bool, n)
-	var visit func(i int)
-	visit = func(i int) {
-		visited[i] = true
-		for _, a := range succ[i] {
-			if !visited[a.to] {
-				visit(a.to)
-			}
-		}
-		order = append(order, i)
-	}
-	for i := range succ {
-		if !visited[i] {
-			visit(i)
-		}
-	}
 	row := func(rows []uint64, i int) bitset { return rows[i*w : (i+1)*w] }
-	// closeRows grows rows to the least fixpoint of
-	//   rows[x] ⊇ {y} ∪ via[y]  for each edge x→y of a kind in fresh,
+	halted := false
+	halt := func() bool {
+		halted = halted || (stop != nil && stop())
+		return halted
+	}
+	// Tarjan's algorithm state, reset by each closeRows.
+	num := make([]int, n) // DFS number + 1; 0 while unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int
+	// closeRows fills rows with the least fixpoint of
+	//   rows[x] ⊇ {y} ∪ via[y]  for each edge x→y of a kind in fresh
+	//                           (via nil adds {y} alone),
 	//   rows[x] ⊇ rows[y]       for each edge x→y of a kind in carry.
+	// The members of a strongly connected component of the carry edges
+	// have equal rows, and Tarjan's algorithm finishes a component only
+	// after every component its carry edges lead to, so each component's
+	// row is filled once, from complete rows.
 	closeRows := func(rows, via []uint64, fresh, carry uint8) {
-		for changed := true; changed; {
-			changed = false
-			for _, x := range order {
-				rx := row(rows, x)
-				for _, a := range succ[x] {
+		clear(num)
+		next := 0
+		var strong func(x int)
+		strong = func(x int) {
+			next++
+			num[x], low[x] = next, next
+			stack = append(stack, x)
+			onStack[x] = true
+			for _, a := range succ[x] {
+				if carry&a.kind == 0 {
+					continue
+				}
+				if num[a.to] == 0 {
+					strong(a.to)
+					if halted {
+						return
+					}
+					low[x] = min(low[x], low[a.to])
+				} else if onStack[a.to] {
+					low[x] = min(low[x], num[a.to])
+				}
+			}
+			if low[x] != num[x] {
+				return
+			}
+			k := len(stack) - 1
+			for stack[k] != x {
+				k--
+			}
+			members := stack[k:]
+			rx := row(rows, x)
+			for _, m := range members {
+				if halt() {
+					return
+				}
+				for _, a := range succ[m] {
 					if fresh&a.kind != 0 {
-						if !rx.test(a.to) {
-							rx.set(a.to)
-							changed = true
+						rx.set(a.to)
+						if via != nil {
+							rx.or(row(via, a.to))
 						}
-						changed = rx.orChanged(row(via, a.to)) || changed
 					}
 					if carry&a.kind != 0 {
-						changed = rx.orChanged(row(rows, a.to)) || changed
+						// A member's row is still empty (or is rx):
+						// harmless; any other row is complete.
+						rx.or(row(rows, a.to))
 					}
 				}
 			}
+			for _, m := range members {
+				onStack[m] = false
+				if m != x {
+					copy(row(rows, m), rx)
+				}
+			}
+			stack = stack[:k]
 		}
+		for x := 0; x < n && !halted; x++ {
+			if num[x] == 0 {
+				strong(x)
+			}
+		}
+		stack = stack[:0]
 	}
 	const and, or, star = 1 << dtd.EdgeAND, 1 << dtd.EdgeOR, 1 << dtd.EdgeSTAR
 	andRows := make([]uint64, n*w)
-	closeRows(andRows, andRows, and|star, 0)
+	closeRows(andRows, nil, and|star, and|star)
 	// OR paths: AND edges, then an OR edge, then any AND/OR path.
 	anyOR := make([]uint64, n*w)
-	closeRows(anyOR, anyOR, and|or, 0)
+	closeRows(anyOR, nil, and|or, and|or)
 	orRows := make([]uint64, n*w)
 	closeRows(orRows, anyOR, or, and)
 	// STAR paths: AND edges, then a STAR edge, then any AND path.
 	starRows := make([]uint64, n*w)
 	closeRows(starRows, andRows, star, and)
+	if halted {
+		return nil
+	}
 	r.rows = [3][]uint64{flavorAND: andRows, flavorOR: orRows, flavorSTAR: starRows}
 
 	strMask := make(bitset, w)
@@ -193,9 +240,19 @@ type lambdaSpace struct {
 // newLambdaSpace builds the λ-candidate table — att-ordered target
 // types per source type, the root mapped to the target root alone — and
 // filters it to arc consistency when the target is small enough for a
-// closure (see filter).
-func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
-	sp := &lambdaSpace{reach: newReach(tgt), cands: att.AllCandidates()}
+// closure (see filter). The closure build and the filter poll stop (nil
+// for never); once it reports true they are abandoned and
+// newLambdaSpace returns nil.
+func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix, stop func() bool) *lambdaSpace {
+	halted := false
+	halt := func() bool {
+		halted = halted || (stop != nil && stop())
+		return halted
+	}
+	sp := &lambdaSpace{reach: newReach(tgt, halt), cands: att.AllCandidates()}
+	if halted {
+		return nil
+	}
 	sp.cands[src.Root] = nil
 	if att.Get(src.Root, tgt.Root) > 0 {
 		sp.cands[src.Root] = []string{tgt.Root}
@@ -214,7 +271,9 @@ func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
 		}
 	}
 	if sp.reach != nil {
-		sp.filter(src)
+		if sp.filter(src, halt); halted {
+			return nil
+		}
 	}
 	for _, a := range src.Types {
 		if len(sp.cands[a]) == 0 {
@@ -234,8 +293,10 @@ func newLambdaSpace(src, tgt *dtd.DTD, att *embedding.SimMatrix) *lambdaSpace {
 //
 // Every λ assignment the search can complete uses surviving candidates
 // only, so the filter is sound: an emptied domain proves the pair is not
-// embeddable. The survivors keep their att order.
-func (sp *lambdaSpace) filter(src *dtd.DTD) {
+// embeddable. The survivors keep their att order. The worklist polls
+// halt once per candidate revised and returns as soon as it reports
+// true, leaving the table half filtered.
+func (sp *lambdaSpace) filter(src *dtd.DTD, halt func() bool) {
 	r := sp.reach
 	// The source schema by index: each type's flavor, its distinct
 	// children other than itself, whether it is its own child, and its
@@ -290,14 +351,34 @@ func (sp *lambdaSpace) filter(src *dtd.DTD) {
 		}
 		return true
 	}
+	// image(p) is every type some candidate of p reaches in p's flavor,
+	// recomputed only after dom(p) has shrunk.
+	images := make([]uint64, m*w)
+	imageOK := make([]bool, m)
+	image := func(p int) bitset {
+		im := bitset(images[p*w : (p+1)*w])
+		if !imageOK[p] {
+			clear(im)
+			dp := dom(p)
+			for x := range dp {
+				for bs := dp[x]; bs != 0; bs &= bs - 1 {
+					im.or(r.row(nodes[p].fl, x*64+bits.TrailingZeros64(bs)))
+				}
+			}
+			imageOK[p] = true
+		}
+		return im
+	}
 	// revise drops a's unsupported candidates and reports whether any
 	// went.
-	image := make(bitset, w)
 	revise := func(a int) bool {
 		d := dom(a)
 		changed := false
 		for x := range d {
 			for bs := d[x]; bs != 0; bs &= bs - 1 {
+				if halt() {
+					return false
+				}
 				if bit := bits.TrailingZeros64(bs); !supported(a, x*64+bit) {
 					d[x] &^= 1 << uint(bit)
 					changed = true
@@ -305,20 +386,16 @@ func (sp *lambdaSpace) filter(src *dtd.DTD) {
 			}
 		}
 		for _, p := range nodes[a].parents {
-			// image collects every type some candidate of p reaches.
-			clear(image)
-			dp := dom(p)
-			for x := range dp {
-				for bs := dp[x]; bs != 0; bs &= bs - 1 {
-					image.or(r.row(nodes[p].fl, x*64+bits.TrailingZeros64(bs)))
-				}
-			}
+			im := image(p)
 			for x := range d {
-				if d[x]&^image[x] != 0 {
-					d[x] &= image[x]
+				if d[x]&^im[x] != 0 {
+					d[x] &= im[x]
 					changed = true
 				}
 			}
+		}
+		if changed {
+			imageOK[a] = false
 		}
 		return changed
 	}
@@ -330,6 +407,9 @@ func (sp *lambdaSpace) filter(src *dtd.DTD) {
 		queue[i], queued[i] = i, true
 	}
 	for len(queue) > 0 {
+		if halt() {
+			return
+		}
 		a := queue[0]
 		queue, queued[a] = queue[1:], false
 		if !revise(a) {

@@ -1,11 +1,15 @@
 package search
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dtd"
 	"repro/internal/embedding"
@@ -60,7 +64,7 @@ func TestReachMatchesEnumerate(t *testing.T) {
 		if tgt.IsRecursive() {
 			recursive++
 		}
-		rc := newReach(tgt)
+		rc := newReach(tgt, nil)
 		tight := newEnumerator(tgt, tgt.Size()+2, math.MaxInt, math.MaxInt, 2, newSearchCache(false))
 		// A longer, pin-richer enumeration, its BFS capped to stay small.
 		wide := newEnumerator(tgt, 2*tgt.Size()+4, math.MaxInt, 1<<12, 3, newSearchCache(false))
@@ -101,7 +105,7 @@ func TestExactDeadDomainExhausted(t *testing.T) {
 	tgt := dtd.MustNew("R",
 		dtd.D("R", dtd.Concat("S")),
 		dtd.D("S", dtd.Empty()))
-	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt))
+	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt), nil)
 	if !sp.dead || sp.pruned.LambdaEmpty != 0 {
 		t.Fatalf("filter left a live space: %v", sp.cands)
 	}
@@ -128,7 +132,7 @@ func TestLambdaSpaceKeepsAttOrder(t *testing.T) {
 	base := workload.MustSyntheticDTD(r, 30)
 	nc := workload.Noise(base, workload.NoiseLevel(0.2), r)
 	att := match.Synthetic(base, nc.DTD, nc.Truth, match.SyntheticOptions{Accuracy: 0.8, Ambiguity: 4}, r)
-	sp := newLambdaSpace(base, nc.DTD, att)
+	sp := newLambdaSpace(base, nc.DTD, att, nil)
 	if got := sp.cands[base.Root]; len(got) != 1 || got[0] != nc.DTD.Root {
 		t.Fatalf("root candidates = %v", got)
 	}
@@ -164,7 +168,7 @@ func TestLambdaSpaceLargeTargetUnpruned(t *testing.T) {
 		defs = append(defs, dtd.D(fmt.Sprintf("f%d", i), dtd.Empty()))
 	}
 	tgt := dtd.MustNew("R", defs...)
-	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt))
+	sp := newLambdaSpace(src, tgt, embedding.UniformSim(src, tgt), nil)
 	if sp.reach != nil {
 		t.Fatalf("closure built for %d target types", tgt.Size())
 	}
@@ -181,11 +185,110 @@ func TestLambdaSpaceLargeTargetUnpruned(t *testing.T) {
 	}
 }
 
+// backEdgeChain builds a target of 3k types whose cycles are chained
+// through back edges: t_i = (f_i, b_i), f_i = t_{i+1}*, b_i = t_{i-1}*,
+// with str-typed ends. Every t_i reaches every other type, so the AND
+// rows fill completely, and a closure that iterated edge passes until
+// nothing changed would need about k passes.
+func backEdgeChain(k int) *dtd.DTD {
+	t := func(i int) string { return fmt.Sprintf("t%d", i) }
+	defs := []dtd.Def{dtd.D("f", dtd.Str()), dtd.D("b", dtd.Str())}
+	for i := 0; i < k; i++ {
+		fi, bi := fmt.Sprintf("f%d", i), fmt.Sprintf("b%d", i)
+		defs = append(defs, dtd.D(t(i), dtd.Concat(fi, bi)))
+		next, prev := "f", "b"
+		if i+1 < k {
+			next = t(i + 1)
+		}
+		if i > 0 {
+			prev = t(i - 1)
+		}
+		defs = append(defs, dtd.D(fi, dtd.Star(next)), dtd.D(bi, dtd.Star(prev)))
+	}
+	return dtd.MustNew(t(0), defs...)
+}
+
+// TestLambdaSpaceStops: the closure build and the filter poll stop at
+// least once per target type and flavor, and give up the moment it
+// reports true.
+func TestLambdaSpaceStops(t *testing.T) {
+	src := workload.MustSyntheticDTD(rand.New(rand.NewSource(5)), 20)
+	tgt := backEdgeChain(40)
+	att := embedding.UniformSim(src, tgt)
+	polls := 0
+	if sp := newLambdaSpace(src, tgt, att, func() bool { polls++; return false }); sp == nil || sp.reach == nil {
+		t.Fatal("no space built without a stop")
+	}
+	if polls < 4*tgt.Size() {
+		t.Fatalf("%d polls for %d target types, want at least one per type and flavor", polls, tgt.Size())
+	}
+	for _, at := range []int{1, tgt.Size(), 3 * tgt.Size(), 4*tgt.Size() + 1, polls} {
+		calls := 0
+		stop := func() bool { calls++; return calls >= at }
+		if sp := newLambdaSpace(src, tgt, att, stop); sp != nil {
+			t.Errorf("stop at poll %d of %d: got a space, want nil", at, polls)
+		}
+		if calls != at {
+			t.Errorf("stop at poll %d: polled %d times, want the build abandoned at once", at, calls)
+		}
+	}
+}
+
+// expiringCtx passes FindCtx's up-front check, then reports its deadline
+// exceeded from the first poll on, as a deadline that fires during the
+// closure build would.
+type expiringCtx struct {
+	context.Context
+	polled atomic.Bool
+}
+
+var closedDone = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *expiringCtx) Done() <-chan struct{} {
+	c.polled.Store(true)
+	return closedDone
+}
+
+func (c *expiringCtx) Err() error {
+	if c.polled.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestFindCtxDeadlineDuringClosure: on a back-edge chain target at the
+// closure's size cap, a deadline that fires while the closure is built
+// ends the search with ErrDeadline before any step, within milliseconds.
+func TestFindCtxDeadlineDuringClosure(t *testing.T) {
+	src := dtd.MustNew("A",
+		dtd.D("A", dtd.Concat("B", "C")),
+		dtd.D("B", dtd.Str()),
+		dtd.D("C", dtd.Str()))
+	tgt := backEdgeChain((maxReachTypes - 2) / 3)
+	for _, h := range []Heuristic{Random, IndepSet, Exact} {
+		ctx := &expiringCtx{Context: context.Background()}
+		start := time.Now()
+		res, err := FindCtx(ctx, src, tgt, nil, Options{Heuristic: h})
+		elapsed := time.Since(start)
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("%v: err = %v, want ErrDeadline", h, err)
+		}
+		if res == nil || res.Embedding != nil || res.Exhausted || res.Steps != 0 {
+			t.Fatalf("%v: result %+v, want no progress", h, res)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("%v: took %s to honor the deadline", h, elapsed)
+		}
+	}
+}
+
 // spaceSink keeps BenchmarkLambdaSpace's result live.
 var spaceSink *lambdaSpace
 
 // BenchmarkLambdaSpace measures the per-search closure and filter build
-// on synthetic 20%-noise pairs of the embed benchmark's two sizes.
+// on synthetic 20%-noise pairs of the embed benchmark's two sizes, and
+// near the closure's size cap on a back-edge chain target under the
+// unrestricted matrix, where every domain holds every target type.
 func BenchmarkLambdaSpace(b *testing.B) {
 	for _, size := range []int{80, 160} {
 		b.Run(fmt.Sprint(size), func(b *testing.B) {
@@ -196,8 +299,20 @@ func BenchmarkLambdaSpace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				spaceSink = newLambdaSpace(base, nc.DTD, att)
+				spaceSink = newLambdaSpace(base, nc.DTD, att, nil)
 			}
 		})
 	}
+	b.Run("chain", func(b *testing.B) {
+		src := workload.MustSyntheticDTD(rand.New(rand.NewSource(80)), 80)
+		tgt := backEdgeChain((maxReachTypes - 2) / 3)
+		att := embedding.UniformSim(src, tgt)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if spaceSink = newLambdaSpace(src, tgt, att, nil); spaceSink.reach == nil {
+				b.Fatal("no closure at the cap")
+			}
+		}
+	})
 }

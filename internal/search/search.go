@@ -279,16 +279,16 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	parallel := opts.Parallel > 1 &&
 		(opts.Heuristic == Random || opts.Heuristic == QualityOrdered)
 	s := &searcher{
-		ctx:         ctx,
-		src:         src,
-		tgt:         tgt,
-		att:         att,
-		opts:        opts,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		cache:       newSearchCache(parallel),
-		lambdaSpace: newLambdaSpace(src, tgt, att),
-		local:       make(map[string]localResult),
+		ctx:   ctx,
+		src:   src,
+		tgt:   tgt,
+		att:   att,
+		opts:  opts,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
+		cache: newSearchCache(parallel),
+		local: make(map[string]localResult),
 	}
+	s.lambdaSpace = newLambdaSpace(src, tgt, att, s.canceled)
 	s.enum = newEnumerator(tgt, maxLen, opts.MaxCandidates, opts.MaxExpansions, opts.MaxPin, s.cache)
 	s.enum.stop = s.canceled
 	s.seed = opts.Seed
@@ -306,7 +306,10 @@ func FindCtx(ctx context.Context, src, tgt *dtd.DTD, att *embedding.SimMatrix, o
 	}
 	m := newMetrics(opts.Obs)
 	start := time.Now()
-	res := s.run()
+	res := &Result{}
+	if s.lambdaSpace != nil { // nil: canceled while it was built
+		res = s.run()
+	}
 	res.Elapsed = time.Since(start)
 	// Parallel workers aggregated their counters into the root
 	// searcher already; the root's own counters cover the sequential
@@ -430,6 +433,12 @@ func (s *searcher) run() *Result {
 	res := &Result{}
 	switch s.opts.Heuristic {
 	case IndepSet:
+		if s.dead {
+			// The filter proved there is no embedding.
+			s.finishRestart(res, 0, 0, false, true, 0, 0)
+			res.Exhausted = true
+			return res
+		}
 		for r := 0; r <= s.opts.MaxRestarts; r++ {
 			if s.ctxDone() {
 				break
