@@ -419,6 +419,58 @@ func BenchmarkBatchMigrateStream(b *testing.B) {
 	}
 }
 
+// decodeBenchDoc is the fixed document of the decode-layer
+// benchmarks: generated class documents grafted under one root until
+// it reaches about 110 KB.
+func decodeBenchDoc(b *testing.B) []byte {
+	b.Helper()
+	emb := workload.ClassEmbedding()
+	r := rand.New(rand.NewSource(13))
+	doc := xmltree.New(emb.Source.Root)
+	for len(doc.String()) < 110_000 {
+		part := xmltree.MustGenerate(emb.Source, r, xmltree.GenOptions{StarMax: 8, DepthBudget: 8})
+		for _, c := range part.Root.Children {
+			xmltree.Append(doc.Root, c)
+		}
+	}
+	return []byte(doc.String())
+}
+
+// BenchmarkTokenize is the tokenizer-only layer of stream migration: a
+// bare Tokenizer.Next loop over decodeBenchDoc.
+func BenchmarkTokenize(b *testing.B) {
+	blob := decodeBenchDoc(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z := xmltree.NewTokenizer(bytes.NewReader(blob))
+		for {
+			tok, err := z.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if tok.Kind == xmltree.TokEOF {
+				break
+			}
+		}
+	}
+}
+
+// BenchmarkParse is the decode layer of the inverse leg: xmltree.Parse
+// of decodeBenchDoc into a tree.
+func BenchmarkParse(b *testing.B) {
+	blob := decodeBenchDoc(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := xmltree.Parse(bytes.NewReader(blob)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEvalANFA measures translated-automaton evaluation over the
 // mapped document.
 func BenchmarkEvalANFA(b *testing.B) {

@@ -245,6 +245,33 @@ func TestStreamErrorStages(t *testing.T) {
 	})
 }
 
+// TestStreamRejectsTextOutsideRoot: character data before or after
+// the root element fails the stream path at the parse stage, as it
+// fails xmltree.Parse on the tree path, instead of being dropped.
+func TestStreamRejectsTextOutsideRoot(t *testing.T) {
+	emb := workload.ClassEmbedding()
+	p, err := emb.CompileStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"junk<db/>", "<db/>junk", "<db/><![CDATA[x]]>", "<db/><!-- c --> x "} {
+		var out bytes.Buffer
+		_, err := p.Run(context.Background(), strings.NewReader(doc), &out, embedding.StreamOptions{Obs: obs.Nop()})
+		var se *embedding.StreamError
+		if !errors.As(err, &se) || se.Stage != "parse" {
+			t.Errorf("Run(%q) error = %v, want parse-stage StreamError", doc, err)
+		}
+		if _, err := xmltree.ParseString(doc); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", doc)
+		}
+	}
+	// White space, comments and PIs around the root stay allowed.
+	var out bytes.Buffer
+	if _, err := p.Run(context.Background(), strings.NewReader("\n<?pi x?> <db/>\n<!-- c -->\n"), &out, embedding.StreamOptions{Obs: obs.Nop()}); err != nil {
+		t.Fatalf("Run with white space around the root: %v", err)
+	}
+}
+
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, fmt.Errorf("sink broken") }

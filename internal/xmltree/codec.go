@@ -2,8 +2,6 @@ package xmltree
 
 import (
 	"bytes"
-	"encoding/xml"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -11,35 +9,9 @@ import (
 	"repro/internal/guard"
 )
 
-// codecPools recycle per-call scratch across documents: batch
-// migration decodes and encodes thousands of trees back to back, and
-// the parse stack / name-verdict map / serialization buffer are the
-// dominant steady-state allocations.
-var (
-	parsePool sync.Pool // *parseScratch
-	encPool   sync.Pool // *bytes.Buffer
-)
-
-// parseScratch is one Parse call's reusable state. The stack is
-// cleared before pooling so it does not pin a finished document.
-type parseScratch struct {
-	stack []*Node
-	names map[string]bool
-}
-
-func getParseScratch() *parseScratch {
-	if s, _ := parsePool.Get().(*parseScratch); s != nil {
-		return s
-	}
-	return &parseScratch{names: make(map[string]bool, 16)}
-}
-
-func putParseScratch(s *parseScratch) {
-	clear(s.stack)
-	s.stack = s.stack[:0]
-	clear(s.names)
-	parsePool.Put(s)
-}
+// encPool recycles serialization buffers: batch migration encodes
+// thousands of trees back to back.
+var encPool sync.Pool // *bytes.Buffer
 
 const maxPooledBuf = 1 << 20 // drop oversized buffers instead of pooling them
 
@@ -58,11 +30,12 @@ func putEncBuf(b *bytes.Buffer) {
 	encPool.Put(b)
 }
 
-// Parse reads an XML document into a Tree using encoding/xml's
-// tokenizer. Whitespace-only character data between elements is dropped
-// (the paper's model is element content plus PCDATA leaves); attributes,
-// comments, processing instructions and directives are ignored. Node ids
-// are assigned in document order.
+// Parse reads an XML document into a Tree: it builds the tree from
+// the Tokenizer's node stream, so the two accept the same documents
+// and see the same nodes. Whitespace-only character data between
+// elements is dropped (the paper's model is element content plus
+// PCDATA leaves); attributes, comments, processing instructions and
+// directives are ignored. Node ids are assigned in document order.
 //
 // Parse enforces the default guard.Limits: input size, element nesting
 // depth and total node count are bounded, and hostile input fails with
@@ -75,136 +48,61 @@ func Parse(r io.Reader) (*Tree, error) {
 // ParseLimits is Parse under explicit resource limits (zero fields
 // select the defaults; guard.Unlimited() disables the checks).
 func ParseLimits(r io.Reader, lim guard.Limits) (*Tree, error) {
-	lim = lim.WithDefaults()
-	cr := &countingReader{r: r, lim: lim, ctx: "xmltree: parse"}
-	dec := xml.NewDecoder(cr)
+	z := newTokenizer(r, lim, "xmltree: parse")
 	t := &Tree{}
-	scratch := getParseScratch()
-	defer putParseScratch(scratch)
-	names := scratch.names
-	nodes := 0
-	addNode := func() error {
-		nodes++
-		return lim.CheckNodes(nodes, "xmltree: parse")
+	// Nodes and child lists are carved from slabs, so a document costs
+	// an allocation per few hundred nodes plus one per text value. The
+	// children of the open elements wait in kids until their parent
+	// closes; each list is then copied out at its exact length.
+	var nodes []Node
+	var lists, kids []*Node
+	type open struct {
+		n    *Node
+		kids int // where n's children start in kids
 	}
-	stack := scratch.stack
-	defer func() { scratch.stack = stack }()
-	var pending strings.Builder
-	flushText := func() error {
-		if pending.Len() == 0 {
-			return nil
+	var stack []open
+	newNode := func(label, text string) *Node {
+		if len(nodes) == cap(nodes) {
+			nodes = make([]Node, 0, min(max(2*cap(nodes), 16), 512))
 		}
-		text := pending.String()
-		pending.Reset()
-		if strings.TrimSpace(text) == "" {
-			return nil
+		t.nextID++
+		nodes = append(nodes, Node{ID: t.nextID, Label: label, Text: text})
+		n := &nodes[len(nodes)-1]
+		if len(stack) > 0 {
+			n.Parent = stack[len(stack)-1].n
+			kids = append(kids, n)
 		}
-		if len(stack) == 0 {
-			return nil
-		}
-		if err := addNode(); err != nil {
-			return err
-		}
-		Append(stack[len(stack)-1], t.NewText(strings.TrimSpace(text)))
-		return nil
+		return n
 	}
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		tok, err := z.Next()
 		if err != nil {
-			if le := cr.limitErr; le != nil {
-				return nil, le
-			}
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
+			return nil, err
 		}
-		switch tok := tok.(type) {
-		case xml.StartElement:
-			if err := flushText(); err != nil {
-				return nil, err
-			}
-			if err := lim.CheckDepth(len(stack)+1, "xmltree: parse"); err != nil {
-				return nil, err
-			}
-			if err := addNode(); err != nil {
-				return nil, err
-			}
-			if !validName(tok.Name.Local, names) {
-				return nil, fmt.Errorf("xmltree: parse: element name %q is not a valid XML name on its own (namespaced local names like \"ns:%s\" cannot round-trip)", tok.Name.Local, tok.Name.Local)
-			}
-			n := t.NewElement(tok.Name.Local)
+		switch tok.Kind {
+		case TokStart:
+			n := newNode(tok.Name, "")
 			if len(stack) == 0 {
-				if t.Root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements")
-				}
 				t.Root = n
-			} else {
-				Append(stack[len(stack)-1], n)
 			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if err := flushText(); err != nil {
-				return nil, err
-			}
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q", tok.Name.Local)
-			}
+			stack = append(stack, open{n, len(kids)})
+		case TokText:
+			newNode(TextLabel, tok.Text)
+		case TokEnd:
+			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			pending.WriteString(string(tok))
+			if c := kids[top.kids:]; len(c) > 0 {
+				if cap(lists)-len(lists) < len(c) {
+					lists = make([]*Node, 0, max(len(c), 512))
+				}
+				lists = append(lists, c...)
+				top.n.Children = lists[len(lists)-len(c) : len(lists) : len(lists)]
+				kids = kids[:top.kids]
+			}
+		case TokEOF:
+			return t, nil
 		}
 	}
-	if t.Root == nil {
-		return nil, fmt.Errorf("xmltree: no root element")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %q", stack[len(stack)-1].Label)
-	}
-	return t, nil
-}
-
-// validName reports whether encoding/xml accepts label as a complete
-// element name, so that serializing the tree reparses. The decoder
-// splits qualified names at the first colon, and a local part like "0"
-// (from "<A:0/>") is not a name by itself — labels are what this
-// package serializes, so such documents are rejected up front rather
-// than producing trees whose serialization cannot be parsed back.
-// cache memoizes verdicts per document (labels repeat heavily).
-func validName(label string, cache map[string]bool) bool {
-	ok, hit := cache[label]
-	if hit {
-		return ok
-	}
-	tok, err := xml.NewDecoder(strings.NewReader("<" + label + "/>")).Token()
-	if err == nil {
-		se, isStart := tok.(xml.StartElement)
-		ok = isStart && se.Name.Space == "" && se.Name.Local == label && len(se.Attr) == 0
-	}
-	cache[label] = ok
-	return ok
-}
-
-// countingReader bounds the bytes read from the underlying reader,
-// surfacing a LimitError through the decoder. ctx names the consumer
-// in limit errors ("xmltree: parse" here, "xmltree: stream" for the
-// Tokenizer).
-type countingReader struct {
-	r        io.Reader
-	n        int
-	lim      guard.Limits
-	ctx      string
-	limitErr error
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += n
-	if lerr := c.lim.CheckInputBytes(c.n, c.ctx); lerr != nil {
-		c.limitErr = lerr
-		return n, lerr
-	}
-	return n, err
 }
 
 // ParseString is Parse over a string.

@@ -2,21 +2,19 @@ package xmltree
 
 import (
 	"bufio"
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/guard"
 )
 
 // Streaming front- and back-end for the tree codec: a pull Tokenizer
-// that yields the exact node stream Parse would build (same entity and
-// escaping rules, same whitespace policy, same guard.Limits
-// enforcement) without materializing a Tree, and an Emitter whose
-// output is byte-identical to Tree.Write for the same event sequence.
-// Together they let the embedding engine apply the instance mapping σd
-// with O(depth) state (see internal/embedding/stream.go).
+// that yields the node stream Parse builds its trees from, without
+// materializing a Tree, and an Emitter whose output is byte-identical
+// to Tree.Write for the same event sequence. Together they let the
+// embedding engine apply the instance mapping σd with O(depth) state
+// (see internal/embedding/stream.go).
 
 // TokKind discriminates Tok values.
 type TokKind uint8
@@ -63,28 +61,38 @@ type TokenizerStats struct {
 	InputBytes int64 // raw bytes consumed from the reader
 }
 
-// Tokenizer is a pull scanner over an XML document. It reuses
-// encoding/xml exactly as Parse does, so entity expansion ("&#xD;",
-// "&amp;"), CDATA ("]]>" handling), comment/PI skipping and the
-// whitespace-only-text drop behave identically; a document accepted by
-// Parse yields the same node sequence here, and a document rejected by
-// Parse fails here with the same class of error.
+// Tokenizer is a pull scanner over an XML document, and the only XML
+// decoder in the package: Parse builds its trees from this node
+// stream. The byte-level scanning lives in scan.go; Tokenizer turns
+// it into events. Character data between two tags (across comments,
+// PIs and CDATA sections) is one PCDATA node, whitespace-trimmed, and
+// dropped when nothing but whitespace is left. Text outside the root
+// element must be whitespace; anything else is an error.
 //
 // Limits are enforced during the scan: element nesting depth, total
 // node count (elements plus emitted text nodes) and raw input bytes
-// are all bounded even though no tree is ever built.
+// are all bounded even though no tree is ever built, and the state
+// held is the open-element stack plus one refill buffer.
 type Tokenizer struct {
-	dec   *xml.Decoder
-	cr    *countingReader
-	lim   guard.Limits
-	names map[string]bool
+	r   io.Reader
+	lim guard.Limits
+	ctx string // names the consumer in limit errors
 
-	stack    []string // open element labels (the O(depth) state)
-	unread   []Tok    // pushed-back / queued tokens, LIFO
-	pending  strings.Builder
-	stats    TokenizerStats
-	rootSeen bool
-	err      error // sticky
+	s        *scanState // pooled buffers; nil once the scan is over
+	buf      []byte     // s.buf: input bytes buf[pos:end] not yet scanned
+	pos, end int
+	nread    int   // bytes read from r
+	lines    int   // newlines in bytes already dropped from buf
+	rerr     error // sticky read error (io.EOF at the end of input)
+
+	stack     []label // open elements (the O(depth) state)
+	unread    []Tok   // pushed-back / queued tokens, LIFO
+	closeNext bool    // the last start tag was self-closing
+	stats     TokenizerStats
+	started   bool
+	rootSeen  bool
+	eof       bool
+	err       error // sticky
 }
 
 // NewTokenizer starts a scan of r under the default guard.Limits.
@@ -96,14 +104,12 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // (zero fields select the defaults; guard.Unlimited() disables the
 // checks).
 func NewTokenizerLimits(r io.Reader, lim guard.Limits) *Tokenizer {
-	lim = lim.WithDefaults()
-	cr := &countingReader{r: r, lim: lim, ctx: "xmltree: stream"}
-	return &Tokenizer{
-		dec:   xml.NewDecoder(cr),
-		cr:    cr,
-		lim:   lim,
-		names: make(map[string]bool, 16),
-	}
+	return newTokenizer(r, lim, "xmltree: stream")
+}
+
+func newTokenizer(r io.Reader, lim guard.Limits, ctx string) *Tokenizer {
+	s := getScanState()
+	return &Tokenizer{r: r, lim: lim.WithDefaults(), ctx: ctx, s: s, buf: s.buf}
 }
 
 // Depth returns the current open-element nesting depth.
@@ -112,7 +118,7 @@ func (z *Tokenizer) Depth() int { return len(z.stack) }
 // Stats returns resource usage so far.
 func (z *Tokenizer) Stats() TokenizerStats {
 	s := z.stats
-	s.InputBytes = int64(z.cr.n)
+	s.InputBytes = int64(z.nread)
 	return s
 }
 
@@ -125,34 +131,37 @@ func (z *Tokenizer) Unread(tok Tok) {
 
 func (z *Tokenizer) fail(err error) (Tok, error) {
 	z.err = err
+	z.release()
 	return Tok{}, err
 }
 
 func (z *Tokenizer) addNode() error {
 	z.stats.Nodes++
-	return z.lim.CheckNodes(z.stats.Nodes, "xmltree: stream")
+	return z.lim.CheckNodes(z.stats.Nodes, z.ctx)
 }
 
-// flushText converts accumulated character data into a TokText, or
-// reports ok=false when it is empty, whitespace-only, or outside the
-// root element (all dropped, exactly as in Parse).
+// flushText converts the character data accumulated since the last
+// tag into a TokText, or reports ok=false when it is empty or
+// whitespace-only (dropped). Other text outside the root element is
+// an error.
 func (z *Tokenizer) flushText() (Tok, bool, error) {
-	if z.pending.Len() == 0 {
+	text := z.s.text
+	if len(text) == 0 {
 		return Tok{}, false, nil
 	}
-	text := z.pending.String()
-	z.pending.Reset()
-	if strings.TrimSpace(text) == "" {
+	z.s.text = text[:0]
+	text = bytes.TrimSpace(text)
+	if len(text) == 0 {
 		return Tok{}, false, nil
 	}
 	if len(z.stack) == 0 {
-		return Tok{}, false, nil
+		return Tok{}, false, z.syntaxError("character data outside the root element")
 	}
 	if err := z.addNode(); err != nil {
 		return Tok{}, false, err
 	}
 	z.stats.Tokens++
-	return Tok{Kind: TokText, Text: strings.TrimSpace(text)}, true, nil
+	return Tok{Kind: TokText, Text: string(text)}, true, nil
 }
 
 // Next returns the next node-stream event. After TokEOF (or an error)
@@ -166,76 +175,163 @@ func (z *Tokenizer) Next() (Tok, error) {
 		z.unread = z.unread[:n-1]
 		return tok, nil
 	}
-	for {
-		tok, err := z.dec.Token()
-		if err == io.EOF {
-			if !z.rootSeen {
-				return z.fail(fmt.Errorf("xmltree: no root element"))
-			}
-			if len(z.stack) != 0 {
-				return z.fail(fmt.Errorf("xmltree: unclosed element %q", z.stack[len(z.stack)-1]))
-			}
-			return Tok{Kind: TokEOF}, nil
-		}
-		if err != nil {
-			if le := z.cr.limitErr; le != nil {
-				return z.fail(le)
-			}
-			return z.fail(fmt.Errorf("xmltree: parse: %w", err))
-		}
-		switch tok := tok.(type) {
-		case xml.StartElement:
-			text, ok, err := z.flushText()
-			if err != nil {
-				return z.fail(err)
-			}
-			if err := z.lim.CheckDepth(len(z.stack)+1, "xmltree: stream"); err != nil {
-				return z.fail(err)
-			}
-			if err := z.addNode(); err != nil {
-				return z.fail(err)
-			}
-			if !validName(tok.Name.Local, z.names) {
-				return z.fail(fmt.Errorf("xmltree: parse: element name %q is not a valid XML name on its own (namespaced local names like \"ns:%s\" cannot round-trip)", tok.Name.Local, tok.Name.Local))
-			}
-			if len(z.stack) == 0 {
-				if z.rootSeen {
-					return z.fail(fmt.Errorf("xmltree: multiple root elements"))
-				}
-				z.rootSeen = true
-			}
-			z.stack = append(z.stack, tok.Name.Local)
-			if d := len(z.stack); d > z.stats.MaxDepth {
-				z.stats.MaxDepth = d
-			}
-			z.stats.Tokens++
-			start := Tok{Kind: TokStart, Name: tok.Name.Local}
-			if ok {
-				z.Unread(start)
-				return text, nil
-			}
-			return start, nil
-		case xml.EndElement:
-			text, ok, err := z.flushText()
-			if err != nil {
-				return z.fail(err)
-			}
-			if len(z.stack) == 0 {
-				return z.fail(fmt.Errorf("xmltree: unbalanced end element %q", tok.Name.Local))
-			}
-			name := z.stack[len(z.stack)-1]
-			z.stack = z.stack[:len(z.stack)-1]
-			z.stats.Tokens++
-			end := Tok{Kind: TokEnd, Name: name}
-			if ok {
-				z.Unread(end)
-				return text, nil
-			}
-			return end, nil
-		case xml.CharData:
-			z.pending.Write(tok)
+	if z.closeNext {
+		z.closeNext = false
+		return z.pop(), nil
+	}
+	if z.eof {
+		return Tok{Kind: TokEOF}, nil
+	}
+	if !z.started {
+		z.started = true
+		if err := z.skipBOM(); err != nil {
+			return z.fail(err)
 		}
 	}
+	for {
+		if z.pos >= z.end && !z.fill() {
+			if z.rerr != io.EOF {
+				return z.fail(z.rerr)
+			}
+			return z.finish()
+		}
+		if z.buf[z.pos] != '<' {
+			if len(z.s.text) == 0 && z.skipSpace() {
+				continue // leading white space is trimmed anyway
+			}
+			if err := z.scanText(false); err != nil {
+				return z.fail(err)
+			}
+			continue
+		}
+		z.pos++
+		c, ok := z.getc()
+		if !ok {
+			return z.fail(z.eofErr())
+		}
+		var err error
+		switch c {
+		case '/':
+			return z.endTag()
+		case '?':
+			err = z.skipPI()
+		case '!':
+			err = z.skipBang()
+		default:
+			z.pos--
+			return z.startTag()
+		}
+		if err != nil {
+			return z.fail(err)
+		}
+	}
+}
+
+// startTag scans a start tag (the '<' consumed) and returns its
+// TokStart, preceded by any pending text node.
+func (z *Tokenizer) startTag() (Tok, error) {
+	lab, err := z.elementName("<")
+	if err != nil {
+		return z.fail(err)
+	}
+	empty, err := z.skipAttrs()
+	if err != nil {
+		return z.fail(err)
+	}
+	text, hasText, err := z.flushText()
+	if err != nil {
+		return z.fail(err)
+	}
+	if err := z.lim.CheckDepth(len(z.stack)+1, z.ctx); err != nil {
+		return z.fail(err)
+	}
+	if err := z.addNode(); err != nil {
+		return z.fail(err)
+	}
+	if !lab.ok {
+		return z.fail(fmt.Errorf("xmltree: parse: element name %q is not a valid XML name on its own (namespaced local names like \"ns:%s\" cannot round-trip)", lab.local, lab.local))
+	}
+	if len(z.stack) == 0 {
+		if z.rootSeen {
+			return z.fail(fmt.Errorf("xmltree: multiple root elements"))
+		}
+		z.rootSeen = true
+	}
+	z.stack = append(z.stack, lab)
+	if d := len(z.stack); d > z.stats.MaxDepth {
+		z.stats.MaxDepth = d
+	}
+	z.stats.Tokens++
+	z.closeNext = empty
+	start := Tok{Kind: TokStart, Name: lab.local}
+	if hasText {
+		z.Unread(start)
+		return text, nil
+	}
+	return start, nil
+}
+
+// endTag scans an end tag (the "</" consumed), closes the innermost
+// element and returns its TokEnd, preceded by any pending text node.
+func (z *Tokenizer) endTag() (Tok, error) {
+	name, err := z.readName()
+	if err != nil {
+		return z.fail(err)
+	}
+	if name == nil {
+		return z.fail(z.syntaxError("expected element name after </"))
+	}
+	// The name must repeat the open element's, which was checked.
+	if len(z.stack) == 0 || string(name) != z.stack[len(z.stack)-1].qname {
+		if err := checkQName(name, "</"); err != nil {
+			return z.fail(z.syntaxError(err.Error()))
+		}
+		if len(z.stack) == 0 {
+			return z.fail(z.syntaxError("unexpected end element </" + string(name) + ">"))
+		}
+		return z.fail(z.syntaxError("element <" + z.stack[len(z.stack)-1].qname + "> closed by </" + string(name) + ">"))
+	}
+	z.space()
+	if c, ok := z.getc(); !ok {
+		return z.fail(z.eofErr())
+	} else if c != '>' {
+		return z.fail(z.syntaxError("invalid characters between </" + z.stack[len(z.stack)-1].qname + " and >"))
+	}
+	text, hasText, err := z.flushText()
+	if err != nil {
+		return z.fail(err)
+	}
+	end := z.pop()
+	if hasText {
+		z.Unread(end)
+		return text, nil
+	}
+	return end, nil
+}
+
+// pop closes the innermost open element.
+func (z *Tokenizer) pop() Tok {
+	name := z.stack[len(z.stack)-1].local
+	z.stack = z.stack[:len(z.stack)-1]
+	z.stats.Tokens++
+	return Tok{Kind: TokEnd, Name: name}
+}
+
+// finish handles the end of input: the document must have had one
+// root element, now closed, and nothing but whitespace after it.
+func (z *Tokenizer) finish() (Tok, error) {
+	if len(z.stack) != 0 {
+		return z.fail(fmt.Errorf("xmltree: unclosed element %q", z.stack[len(z.stack)-1].local))
+	}
+	if _, _, err := z.flushText(); err != nil {
+		return z.fail(err)
+	}
+	if !z.rootSeen {
+		return z.fail(fmt.Errorf("xmltree: no root element"))
+	}
+	z.eof = true
+	z.release()
+	return Tok{Kind: TokEOF}, nil
 }
 
 // Emitter serializes a start/text/end event stream as indented XML,
@@ -267,8 +363,8 @@ func NewEmitter(w io.Writer) *Emitter {
 // still sitting in the internal buffer).
 func (e *Emitter) Bytes() int64 { return e.bytes }
 
-// countingEmitWriter adapts bufio.Writer to xmlWriter while tracking
-// written bytes for Bytes().
+// ws and wb write through the buffer, tracking written bytes for
+// Bytes() and keeping the first error.
 func (e *Emitter) ws(s string) {
 	if e.err != nil {
 		return
@@ -289,58 +385,27 @@ func (e *Emitter) wb(c byte) {
 	e.bytes++
 }
 
-// escape writes s with the codec's escaping rules (same table as
-// xmlEscape, including the CR → "&#xD;" round-trip rule).
+// escape writes s with the codec's escaping rules (xmlEscape,
+// including the CR → "&#xD;" round-trip rule).
 func (e *Emitter) escape(s string) {
 	if e.err != nil {
 		return
 	}
-	cw := countWriter{w: e.w, n: &e.bytes, err: &e.err}
-	xmlEscape(cw, s)
+	xmlEscape(emitWriter{e}, s)
 }
 
-// countWriter satisfies xmlWriter over a bufio.Writer, accumulating
-// byte counts and the first error.
-type countWriter struct {
-	w   *bufio.Writer
-	n   *int64
-	err *error
+// emitWriter adapts the Emitter to xmlWriter, counting bytes and
+// keeping the first error.
+type emitWriter struct{ e *Emitter }
+
+func (w emitWriter) WriteString(s string) (int, error) {
+	w.e.ws(s)
+	return len(s), w.e.err
 }
 
-func (c countWriter) WriteString(s string) (int, error) {
-	if *c.err != nil {
-		return 0, *c.err
-	}
-	n, err := c.w.WriteString(s)
-	*c.n += int64(n)
-	if err != nil {
-		*c.err = err
-	}
-	return n, err
-}
-
-func (c countWriter) WriteByte(b byte) error {
-	if *c.err != nil {
-		return *c.err
-	}
-	if err := c.w.WriteByte(b); err != nil {
-		*c.err = err
-		return err
-	}
-	*c.n++
-	return nil
-}
-
-func (c countWriter) WriteRune(r rune) (int, error) {
-	if *c.err != nil {
-		return 0, *c.err
-	}
-	n, err := c.w.WriteRune(r)
-	*c.n += int64(n)
-	if err != nil {
-		*c.err = err
-	}
-	return n, err
+func (w emitWriter) WriteByte(c byte) error {
+	w.e.wb(c)
+	return w.e.err
 }
 
 // open renders the pending start tag as a block opener (children

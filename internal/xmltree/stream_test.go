@@ -54,7 +54,7 @@ var streamDocs = []struct {
 	{"pi-split-text", "<a>foo<?pi data?>bar</a>"},
 	{"empty-elems", "<a><b/><c></c></a>"},
 	{"ws-only", "<a>\n  <b/>\n\t \n</a>"},
-	{"text-outside-root", "junk before <a><b>x</b></a> junk after"},
+	{"ws-outside-root", "\n <!-- c --> <a><b>x</b></a> \t\n"},
 	{"single-text", "<a>hello world</a>"},
 	{"deep", "<a><a><a><a><a>leaf</a></a></a></a></a>"},
 	{"mixed", "<a><b/>tail<c>v</c>more</a>"},
@@ -119,6 +119,9 @@ func TestTokenizerErrorsMatchParse(t *testing.T) {
 		{"mismatched", "<a></b>"},
 		{"namespaced-name", "<A:0/>"},
 		{"bad-syntax", "<a><</a>"},
+		{"text-before-root", "junk <a/>"},
+		{"text-after-root", "<a/> junk"},
+		{"cdata-after-root", "<a/><![CDATA[x]]>"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,34 +188,11 @@ func TestStreamRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Parse: %v", seed, err)
 		}
-		var b strings.Builder
-		e := NewEmitter(&b)
-		z := NewTokenizer(strings.NewReader(doc))
-		for {
-			tok, err := z.Next()
-			if err != nil {
-				t.Fatalf("seed %d: Next: %v", seed, err)
-			}
-			done := false
-			switch tok.Kind {
-			case TokStart:
-				err = e.Start(tok.Name)
-			case TokText:
-				err = e.Text(tok.Text)
-			case TokEnd:
-				err = e.End()
-			case TokEOF:
-				err = e.Flush()
-				done = true
-			}
-			if err != nil {
-				t.Fatalf("seed %d: emit: %v", seed, err)
-			}
-			if done {
-				break
-			}
+		got, err := streamCopy(NewTokenizer(strings.NewReader(doc)))
+		if err != nil {
+			t.Fatalf("seed %d: stream: %v", seed, err)
 		}
-		if got := b.String(); got != want.String() {
+		if got != want.String() {
 			t.Fatalf("seed %d: round trip differs:\n got: %q\nwant: %q", seed, got, want.String())
 		}
 	}

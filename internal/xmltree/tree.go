@@ -5,13 +5,17 @@
 // identity on string values (§2.1 of Fan & Bohannon).
 //
 // The package provides DTD conformance validation, XML parsing and
-// serialization built on encoding/xml's tokenizer, and random instance
-// generation from a DTD for tests and benchmarks.
+// serialization, and random instance generation from a DTD for tests
+// and benchmarks. Parsing has one decoder: the byte scanner under
+// Tokenizer (scan.go), which Parse builds trees from and stream
+// migration reads directly. encoding/xml serves only as the reference
+// it is tested against.
 package xmltree
 
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dtd"
 )
@@ -252,12 +256,12 @@ func writeNodeCompact(b xmlWriter, n *Node) {
 	b.WriteByte('>')
 }
 
-// xmlWriter is the serialization sink: both strings.Builder (String)
-// and bytes.Buffer (the pooled Write path in codec.go) satisfy it.
+// xmlWriter is the serialization sink: strings.Builder (String),
+// bytes.Buffer (the pooled Write path in codec.go) and the Emitter's
+// emitWriter satisfy it.
 type xmlWriter interface {
 	WriteString(string) (int, error)
 	WriteByte(byte) error
-	WriteRune(rune) (int, error)
 }
 
 // indents caches indentation prefixes for shallow depths; deeper
@@ -317,24 +321,44 @@ func writeNode(b xmlWriter, n *Node, depth int) {
 	b.WriteString(">\n")
 }
 
+// xmlEscape writes s as character data: '&', '<' and '>' as entity
+// references, CR as a character reference, and each byte that is not
+// part of valid UTF-8 as U+FFFD. Every run of bytes between two such
+// characters leaves in one WriteString.
 func xmlEscape(b xmlWriter, s string) {
-	for _, r := range s {
-		switch r {
-		case '&':
-			b.WriteString("&amp;")
-		case '<':
-			b.WriteString("&lt;")
-		case '>':
-			b.WriteString("&gt;")
-		case '\r':
+	last := 0
+	for i := 0; i < len(s); {
+		var esc string
+		n := 1
+		switch c := s[i]; {
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '\r':
 			// A literal CR in character data is normalized to LF by
 			// conforming parsers (XML 1.0 §2.11), so it must leave as a
 			// character reference or the value changes on reparse.
-			b.WriteString("&#xD;")
+			esc = "&#xD;"
+		case c < utf8.RuneSelf:
+			i++
+			continue
 		default:
-			b.WriteRune(r)
+			var r rune
+			if r, n = utf8.DecodeRuneInString(s[i:]); r != utf8.RuneError || n != 1 {
+				i += n
+				continue
+			}
+			esc = "\uFFFD"
 		}
+		b.WriteString(s[last:i])
+		b.WriteString(esc)
+		i += n
+		last = i
 	}
+	b.WriteString(s[last:])
 }
 
 // Validate checks that the tree conforms to the DTD: the root carries

@@ -156,7 +156,8 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, doc := range []string{``, `<a><b></a></b>`, `<a/><b/>`, `no markup at all`} {
+	for _, doc := range []string{``, `<a><b></a></b>`, `<a/><b/>`, `no markup at all`,
+		`<a/>junk`, `junk<a/>`, `<a/><!-- c -->x`, "\ufeff\ufeff<a/>"} {
 		if _, err := ParseString(doc); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", doc)
 		}
@@ -288,5 +289,47 @@ func TestNodeByID(t *testing.T) {
 	}
 	if got := tr.NodeByID(9999); got != nil {
 		t.Error("NodeByID(9999) should be nil")
+	}
+}
+
+// xmlEscapeRunes is the rune-at-a-time escaper xmlEscape replaced,
+// kept as its reference.
+func xmlEscapeRunes(b *strings.Builder, s string) {
+	for _, r := range s {
+		switch r {
+		case '&':
+			b.WriteString("&amp;")
+		case '<':
+			b.WriteString("&lt;")
+		case '>':
+			b.WriteString("&gt;")
+		case '\r':
+			b.WriteString("&#xD;")
+		default:
+			b.WriteRune(r)
+		}
+	}
+}
+
+// TestXMLEscapeMatchesRuneLoop holds xmlEscape to the rune loop on
+// random strings over markup characters, CR, multi-byte UTF-8 and
+// invalid UTF-8 (stray continuation bytes, truncated sequences,
+// encoded surrogates).
+func TestXMLEscapeMatchesRuneLoop(t *testing.T) {
+	alphabet := []string{"a", "&", "<", ">", "\r", "\n", "\u00e9", "\u4e16", "\U0001F600", "\uFFFD",
+		"\x80", "\xff", "\xe4\xb8", "\xed\xa0\x80", "]]>", "&amp;"}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 5000; i++ {
+		var in strings.Builder
+		for k := r.Intn(12); k > 0; k-- {
+			in.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		s := in.String()
+		var got, want strings.Builder
+		xmlEscape(&got, s)
+		xmlEscapeRunes(&want, s)
+		if got.String() != want.String() {
+			t.Fatalf("xmlEscape(%q) = %q, want %q", s, got.String(), want.String())
+		}
 	}
 }
