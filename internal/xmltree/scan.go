@@ -2,7 +2,6 @@ package xmltree
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -11,9 +10,9 @@ import (
 )
 
 // The byte scanner under Tokenizer. It reads the input through one
-// refill buffer and accepts the XML subset the package has always
-// accepted, which is what encoding/xml's strict decoder accepts (the
-// decoder survives as the test-only reference in ref_test.go):
+// refill buffer and accepts what encoding/xml's strict decoder, which
+// the package used before and keeps as the test-only reference in
+// ref_test.go, accepts:
 //
 //   - elements; attributes are checked for well-formedness (a name, an
 //     '=', a quoted value with valid references) and otherwise skipped;
@@ -28,7 +27,11 @@ import (
 //   - prefixed names: "ns:b" is the label "b", and a prefixed name
 //     whose local part is not a name on its own ("A:0") is rejected,
 //     since its label could not be serialized and read back;
-//   - a byte order mark at the very start, skipped.
+//   - a byte order mark at the very start, skipped (the reference
+//     skips it too; to the stdlib decoder it is character data).
+//
+// Tokenizer adds the document rules: one root element, and only white
+// space outside it.
 
 const (
 	scanBufSize    = 32 << 10
@@ -237,24 +240,24 @@ func (z *Tokenizer) readName() ([]byte, error) {
 
 // checkQName checks a tag or attribute name: well-formed, with at most
 // one colon.
-func checkQName(name []byte, after string) error {
+func (z *Tokenizer) checkQName(name []byte, after string) error {
 	if !isName(name) {
-		return errors.New("invalid XML name: " + string(name))
+		return z.syntaxError("invalid XML name: " + string(name))
 	}
 	if bytes.Count(name, []byte{':'}) > 1 {
-		return errors.New("expected element name after " + after)
+		return z.syntaxError("expected element name after " + after)
 	}
 	return nil
 }
 
 // elementName reads a start tag's name and returns its interned label.
-func (z *Tokenizer) elementName(after string) (label, error) {
+func (z *Tokenizer) elementName() (label, error) {
 	name, err := z.readName()
 	if err != nil {
 		return label{}, err
 	}
 	if name == nil {
-		return label{}, z.syntaxError("expected element name after " + after)
+		return label{}, z.syntaxError("expected element name after <")
 	}
 	slot := &z.s.recent[(len(name)*31+int(name[0])*7+int(name[len(name)-1]))&(len(z.s.recent)-1)]
 	if string(name) == slot.qname {
@@ -264,8 +267,8 @@ func (z *Tokenizer) elementName(after string) (label, error) {
 		*slot = lab
 		return lab, nil
 	}
-	if err := checkQName(name, after); err != nil {
-		return label{}, z.syntaxError(err.Error())
+	if err := z.checkQName(name, "<"); err != nil {
+		return label{}, err
 	}
 	q := string(name)
 	lab := label{qname: q, local: q, ok: true}
@@ -310,8 +313,8 @@ func (z *Tokenizer) skipAttrs() (empty bool, err error) {
 		if name == nil {
 			return false, z.syntaxError("expected attribute name in element")
 		}
-		if err := checkQName(name, "attribute"); err != nil {
-			return false, z.syntaxError(err.Error())
+		if err := z.checkQName(name, "attribute"); err != nil {
+			return false, err
 		}
 		z.space()
 		if c, ok = z.getc(); !ok {

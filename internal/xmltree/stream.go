@@ -230,7 +230,7 @@ func (z *Tokenizer) Next() (Tok, error) {
 // startTag scans a start tag (the '<' consumed) and returns its
 // TokStart, preceded by any pending text node.
 func (z *Tokenizer) startTag() (Tok, error) {
-	lab, err := z.elementName("<")
+	lab, err := z.elementName()
 	if err != nil {
 		return z.fail(err)
 	}
@@ -283,8 +283,8 @@ func (z *Tokenizer) endTag() (Tok, error) {
 	}
 	// The name must repeat the open element's, which was checked.
 	if len(z.stack) == 0 || string(name) != z.stack[len(z.stack)-1].qname {
-		if err := checkQName(name, "</"); err != nil {
-			return z.fail(z.syntaxError(err.Error()))
+		if err := z.checkQName(name, "</"); err != nil {
+			return z.fail(err)
 		}
 		if len(z.stack) == 0 {
 			return z.fail(z.syntaxError("unexpected end element </" + string(name) + ">"))
