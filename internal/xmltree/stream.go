@@ -89,7 +89,7 @@ type Tokenizer struct {
 	unread    []Tok   // pushed-back / queued tokens, LIFO
 	closeNext bool    // the last start tag was self-closing
 	stats     TokenizerStats
-	started   bool
+	started   bool // past the byte order mark check
 	rootSeen  bool
 	eof       bool
 	err       error // sticky
